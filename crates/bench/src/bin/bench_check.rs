@@ -24,6 +24,13 @@
 //! * `analytics_overhead_pct` <= 3% (the offline USL-fit + attribution
 //!   pass over producing the sweep it analyzes).
 //!
+//! Absolute ceilings, for costs that both sides of every A/B pair would
+//! share and so no ratio can see:
+//!
+//! * `server_storm_ns_per_event` <= 2000 ns (host cost per simulated
+//!   event of the naive `ext-server` retry storm; an event queue whose
+//!   per-event cost grows with the storm's backlog reads ~9000 ns).
+//!
 //! `campaign_overhead_median_pct` is recorded but not budgeted: it is
 //! the *signed* median per-pair delta kept alongside the clamped
 //! min-ratio bound so a real-but-sub-noise campaign cost cannot hide
@@ -83,6 +90,20 @@ fn main() -> ExitCode {
             println!("ok: {key} = {v:.2}%");
         }
     }
+    // (field, ceiling): positive absolute costs, not overhead ratios.
+    let ceilings = [("server_storm_ns_per_event", 2000.0)];
+    for (key, ceiling) in ceilings {
+        let Some(v) = field(&json, key) else {
+            eprintln!("error: {path}: missing field {key}");
+            return ExitCode::from(2);
+        };
+        if v > 0.0 && v <= ceiling {
+            println!("ok: {key} = {v:.0} (ceiling {ceiling:.0})");
+        } else {
+            eprintln!("budget violation: {key} = {v:.0} is outside (0, {ceiling:.0}]");
+            violations += 1;
+        }
+    }
     // The signed median is a second opinion, not a budget: it must be
     // recorded (so the min-ratio clamp cannot silently hide a real
     // cost), but a negative value is legitimate host drift.
@@ -97,7 +118,7 @@ fn main() -> ExitCode {
         eprintln!("{path}: {violations} budget violation(s)");
         ExitCode::FAILURE
     } else {
-        println!("{path}: all overhead budgets hold");
+        println!("{path}: all budgets hold");
         ExitCode::SUCCESS
     }
 }

@@ -95,7 +95,7 @@ pub use fig1_locks::{run_fig1_locks, Fig1Locks};
 pub use fig2_gc::{run_fig2, Fig2, Fig2Row};
 pub use params::ExpParams;
 pub use scalability::{run_scalability, Scalability, ScalabilityRow, SCALABLE_SPEEDUP_THRESHOLD};
-pub use server::{run_server_study, ServerRow, ServerStudy, SERVER_SCENARIOS};
+pub use server::{run_server_study, server_specs, ServerRow, ServerStudy, SERVER_SCENARIOS};
 pub use shrink::{run_isolated, shrink_failure, write_repro, ShrinkOutcome, SHRINK_ATTEMPT_BUDGET};
 pub use sweep::{
     cached_event_total, clear_run_cache, run_all, run_cache_size, take_run_manifests,

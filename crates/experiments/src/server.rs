@@ -90,12 +90,12 @@ pub(crate) fn scenario_spec(scenario: &str, threads: usize) -> ServerSpec {
 }
 
 /// The scenario × thread-count spec list the study executes; shared with
-/// the campaign unit enumeration so the two cannot drift.
+/// the campaign unit enumeration and the benchmark so none can drift.
 ///
 /// # Errors
 ///
 /// Propagates configuration errors.
-pub(crate) fn server_specs(params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
+pub fn server_specs(params: &ExpParams) -> Result<Vec<RunSpec>, SimError> {
     let model = xalan();
     let mut specs = Vec::new();
     for scenario in SERVER_SCENARIOS {

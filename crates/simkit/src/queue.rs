@@ -31,11 +31,19 @@
 //!   matters because stop-the-world GC pauses call it once per collection.
 //!   Relative order (including FIFO ties) is untouched because internal
 //!   times never change.
+//! * **Live-top invariant.** The heap's top entry, if any, is live.
+//!   Cancelling or delivering an event drops any tombstones that surface
+//!   at the top right away, so [`EventQueue::peek_time`] reads the top in
+//!   O(1) without needing `&mut self`, and `pop` never skips. Each entry
+//!   is still dropped at most once, so pop and cancel keep their
+//!   amortized cost; [`EventQueue::heap_visits_total`] counts the work so
+//!   a regression to scanning fails a test instead of a stopwatch.
 //!
 //! The previous `BinaryHeap` + two-`HashSet` implementation survives as
 //! [`crate::baseline::BaselineQueue`], serving as the reference model for
 //! differential tests and the before/after comparator in benches.
 
+use std::cell::Cell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::fmt;
@@ -118,6 +126,10 @@ pub struct EventQueue<E> {
     next_seq: u64,
     scheduled_total: u64,
     popped_total: u64,
+    /// Heap entries examined over the queue's lifetime. A `Cell` because
+    /// `peek_time` takes `&self`: a peek that examined entries would
+    /// have to count them here too.
+    heap_visits: Cell<u64>,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -140,6 +152,7 @@ impl<E> EventQueue<E> {
             next_seq: 0,
             scheduled_total: 0,
             popped_total: 0,
+            heap_visits: Cell::new(0),
         }
     }
 
@@ -211,6 +224,18 @@ impl<E> EventQueue<E> {
         self.live -= 1;
     }
 
+    /// Restores the live-top invariant by dropping tombstones off the top
+    /// of the heap. Each dropped entry counts as one heap visit.
+    fn prune_top(&mut self) {
+        while let Some(Reverse(top)) = self.heap.peek() {
+            if self.is_live(top.slot, top.generation) {
+                break;
+            }
+            self.heap.pop();
+            self.heap_visits.set(self.heap_visits.get() + 1);
+        }
+    }
+
     /// Cancels a pending event.
     ///
     /// Returns `true` if the event was still pending (it will now never be
@@ -219,40 +244,43 @@ impl<E> EventQueue<E> {
         if !self.is_live(id.slot, id.generation) {
             return false; // already fired, or already cancelled
         }
-        // Tombstone; the heap entry is skipped and dropped when it reaches
-        // the top.
+        // Tombstone. An entry below the top stays in the heap until it
+        // surfaces; one at the top is dropped now.
         self.retire(id.slot);
+        self.prune_top();
         true
     }
 
     /// Removes and returns the earliest pending event, advancing the clock
     /// to its timestamp. Returns `None` when no events remain.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(Reverse(entry)) = self.heap.pop() {
-            if !self.is_live(entry.slot, entry.generation) {
-                continue; // lazily drop tombstone
-            }
-            self.retire(entry.slot);
-            let at = entry.time + self.offset;
-            debug_assert!(at >= self.now, "event queue clock went backwards");
-            self.now = at;
-            self.popped_total += 1;
-            return Some((at, entry.payload));
-        }
-        None
+        let Reverse(entry) = self.heap.pop()?;
+        self.heap_visits.set(self.heap_visits.get() + 1);
+        debug_assert!(
+            self.is_live(entry.slot, entry.generation),
+            "live-top invariant broken: popped a tombstone"
+        );
+        self.retire(entry.slot);
+        self.prune_top();
+        let at = entry.time + self.offset;
+        debug_assert!(at >= self.now, "event queue clock went backwards");
+        self.now = at;
+        self.popped_total += 1;
+        Some((at, entry.payload))
     }
 
-    /// The timestamp of the earliest pending event, if any.
+    /// The timestamp of the earliest pending event, if any, in O(1).
     ///
     /// Does not advance the clock.
     #[must_use]
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap
-            .iter()
-            .filter(|Reverse(e)| self.is_live(e.slot, e.generation))
-            .map(|Reverse(e)| (e.time, e.seq))
-            .min()
-            .map(|(t, _)| t + self.offset)
+        self.heap.peek().map(|Reverse(e)| {
+            debug_assert!(
+                self.is_live(e.slot, e.generation),
+                "live-top invariant broken: tombstone at the top"
+            );
+            e.time + self.offset
+        })
     }
 
     /// Number of live (non-cancelled) pending events.
@@ -277,6 +305,17 @@ impl<E> EventQueue<E> {
     #[must_use]
     pub fn popped_total(&self) -> u64 {
         self.popped_total
+    }
+
+    /// Total heap entries examined over the queue's lifetime
+    /// (diagnostics): each entry `pop` delivers and each tombstone
+    /// dropped off the top. `peek_time` reads only the top, which the
+    /// live-top invariant keeps live, so it adds nothing. Every entry
+    /// leaves the heap once, so this never exceeds
+    /// [`scheduled_total`](Self::scheduled_total).
+    #[must_use]
+    pub fn heap_visits_total(&self) -> u64 {
+        self.heap_visits.get()
     }
 
     /// Moves every pending event later by `delta` and advances the clock by
@@ -514,6 +553,54 @@ mod tests {
         q.pop();
         assert_eq!(q.scheduled_total(), 2);
         assert_eq!(q.popped_total(), 1);
+    }
+
+    #[test]
+    fn peek_time_is_constant_time_over_a_tombstone_backlog() {
+        // A deep backlog of cancelled events, as a retry storm leaves
+        // behind: peeking must not walk it.
+        const N: u64 = 100_000;
+        let mut q = EventQueue::new();
+        let ids: Vec<_> = (0..N).map(|i| q.schedule_at(ns(i), i)).collect();
+        for &id in &ids[..ids.len() - 1] {
+            assert!(q.cancel(id));
+        }
+        let before = q.heap_visits_total();
+        for _ in 0..10_000 {
+            assert_eq!(q.peek_time(), Some(ns(N - 1)));
+        }
+        assert_eq!(q.heap_visits_total(), before, "peek_time visited the heap");
+        assert_eq!(q.pop(), Some((ns(N - 1), N - 1)));
+        assert!(
+            q.heap_visits_total() <= q.scheduled_total() + q.popped_total(),
+            "{} heap visits for {} scheduled and {} popped",
+            q.heap_visits_total(),
+            q.scheduled_total(),
+            q.popped_total()
+        );
+    }
+
+    #[test]
+    fn cancelling_the_head_repeatedly_keeps_peek_and_pop_in_step() {
+        // Pairs of same-time events, so FIFO ties are cancelled through
+        // too: three heads are cancelled, then peek and pop must agree on
+        // the next one.
+        let mut q = EventQueue::new();
+        let mut pending: std::collections::VecDeque<_> = (0..64u64)
+            .map(|i| (q.schedule_at(ns(i / 2), i), i))
+            .collect();
+        while !pending.is_empty() {
+            for (id, _) in pending.drain(..pending.len().min(3)) {
+                assert!(q.cancel(id));
+            }
+            let peeked = q.peek_time();
+            let popped = q.pop();
+            assert_eq!(peeked, popped.map(|(at, _)| at));
+            let expected = pending.pop_front().map(|(_, i)| (ns(i / 2), i));
+            assert_eq!(popped, expected);
+        }
+        assert_eq!(q.peek_time(), None);
+        assert!(q.is_empty());
     }
 
     #[test]

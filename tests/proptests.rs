@@ -102,18 +102,24 @@ fn event_queue_matches_vec_model() {
 /// implementation under random schedule/cancel/pop/`shift_all`
 /// interleavings — every observable (pops, clock, length, peek,
 /// cancellation results, lifetime counters) must agree, and `EventId`s
-/// must never repeat across slot recycling.
+/// must never repeat across slot recycling. Besides random cancels, one
+/// op cancels the earliest pending event, so the tombstone left at the
+/// heap top is exercised on every case.
 #[test]
 fn event_queue_matches_baseline_under_shifts() {
     for_cases(256, |rng| {
         let mut queue: EventQueue<u64> = EventQueue::new();
         let mut base: BaselineQueue<u64> = BaselineQueue::new();
-        let mut ids = Vec::new(); // (slab id, baseline id), in issue order
+        let mut ids = Vec::new(); // (slab id, baseline id, key), in issue order
         let mut ever_issued = std::collections::HashSet::new();
+        // Pending events keyed by (shift-invariant time, payload): the
+        // payload is the op index, so it orders same-time ties by issue.
+        let mut pending = std::collections::BTreeMap::new();
+        let mut shifted = 0u64;
 
         for payload in 0..rng.gen_range(0u64..250) {
-            match rng.gen_range(0u32..8) {
-                // schedule (weighted: half of all ops)
+            match rng.gen_range(0u32..9) {
+                // schedule (weighted: four ops in nine)
                 0..=3 => {
                     let delta = SimDuration::from_nanos(rng.gen_range(0u64..500));
                     let at = queue.now() + delta;
@@ -123,7 +129,9 @@ fn event_queue_matches_baseline_under_shifts() {
                         ever_issued.insert(q_id),
                         "EventId reused across generations: {q_id:?}"
                     );
-                    ids.push((q_id, b_id));
+                    let key = (at.as_nanos() - shifted, payload);
+                    pending.insert(key, (q_id, b_id));
+                    ids.push((q_id, b_id, key));
                 }
                 // cancel a random id from the whole history
                 4 => {
@@ -131,18 +139,31 @@ fn event_queue_matches_baseline_under_shifts() {
                         continue;
                     }
                     let i = rng.gen_range(0..ids.len());
-                    let (q_id, b_id) = ids[i];
-                    assert_eq!(queue.cancel(q_id), base.cancel(b_id));
+                    let (q_id, b_id, key) = ids[i];
+                    let cancelled = queue.cancel(q_id);
+                    assert_eq!(cancelled, base.cancel(b_id));
+                    assert_eq!(cancelled, pending.remove(&key).is_some());
+                }
+                // cancel the earliest pending event (the heap top)
+                5 => {
+                    if let Some((_, (q_id, b_id))) = pending.pop_first() {
+                        assert!(queue.cancel(q_id));
+                        assert!(base.cancel(b_id));
+                    }
                 }
                 // pop
-                5..=6 => {
-                    assert_eq!(queue.pop(), base.pop());
+                6..=7 => {
+                    let popped = queue.pop();
+                    assert_eq!(popped, base.pop());
+                    let expected = pending.pop_first().map(|((_, p), _)| p);
+                    assert_eq!(popped.map(|(_, p)| p), expected);
                 }
                 // shift (a stop-the-world pause)
                 _ => {
                     let pause = SimDuration::from_nanos(rng.gen_range(0u64..300));
                     queue.shift_all(pause);
                     base.shift_all(pause);
+                    shifted += pause.as_nanos();
                 }
             }
             assert_eq!(queue.now(), base.now());
@@ -151,6 +172,7 @@ fn event_queue_matches_baseline_under_shifts() {
             assert_eq!(queue.peek_time(), base.peek_time());
             assert_eq!(queue.scheduled_total(), base.scheduled_total());
             assert_eq!(queue.popped_total(), base.popped_total());
+            assert!(queue.heap_visits_total() <= queue.scheduled_total());
         }
 
         // Drain to the end: the remaining event sequences must be
