@@ -1,7 +1,7 @@
 //! The per-sweep analytics artifact: deterministic JSON + text report.
 //!
 //! `analytics.json` travels through the same lossless [`JsonValue`]
-//! writer the checkpoint layer uses, so it contains no floats — every
+//! writer the checkpoint layer uses and contains no floats — every
 //! real-valued quantity is a fixed-precision (6-digit) decimal string,
 //! making the artifact byte-identical across live runs, checkpoint
 //! resumes and campaign merges (none of its inputs read `host_ns`).
@@ -70,7 +70,7 @@ impl AnalyticsReport {
     /// The artifact as a JSON value (without the fingerprint field).
     #[must_use]
     pub fn to_json(&self) -> JsonValue {
-        obj(vec![
+        JsonValue::obj([
             ("v", JsonValue::U64(ANALYTICS_VERSION)),
             ("seed", JsonValue::U64(self.seed)),
             (
@@ -180,7 +180,7 @@ fn workload_to_json(w: &WorkloadAnalysis) -> JsonValue {
         .map(|&(t, x)| JsonValue::Arr(vec![JsonValue::U64(t as u64), f(x)]))
         .collect();
     let usl = match &w.fit {
-        Some(fit) => obj(vec![
+        Some(fit) => JsonValue::obj([
             ("lambda", f(fit.lambda)),
             ("sigma", f(fit.sigma)),
             ("kappa", f(fit.kappa)),
@@ -188,10 +188,10 @@ fn workload_to_json(w: &WorkloadAnalysis) -> JsonValue {
             ("collapse_point", f(fit.collapse_point())),
             ("rms_residual", f(fit.rms_residual)),
         ]),
-        None => obj(vec![]),
+        None => JsonValue::obj([]),
     };
     let p = &w.profile;
-    obj(vec![
+    JsonValue::obj([
         ("app", JsonValue::Str(w.app.clone())),
         ("expected", JsonValue::Str(w.expected.clone())),
         (
@@ -202,7 +202,7 @@ fn workload_to_json(w: &WorkloadAnalysis) -> JsonValue {
         ("usl", usl),
         (
             "attribution",
-            obj(vec![
+            JsonValue::obj([
                 ("threads", JsonValue::U64(p.threads as u64)),
                 ("running_ns", JsonValue::U64(p.running_ns)),
                 ("runnable_wait_ns", JsonValue::U64(p.runnable_wait_ns)),
@@ -223,7 +223,7 @@ fn workload_to_json(w: &WorkloadAnalysis) -> JsonValue {
 }
 
 fn pcts_to_json(p: &Percentiles) -> JsonValue {
-    obj(vec![
+    JsonValue::obj([
         ("count", JsonValue::U64(p.count)),
         ("p50", JsonValue::U64(p.p50)),
         ("p95", JsonValue::U64(p.p95)),
@@ -232,13 +232,9 @@ fn pcts_to_json(p: &Percentiles) -> JsonValue {
     ])
 }
 
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
-}
-
-/// Real values travel as fixed-precision decimal strings: the lossless
-/// JSON layer has no float type, and 6 digits is reproducible exactly
-/// wherever the same f64 bits arrive.
+/// Real values travel as fixed-precision decimal strings, not JSON
+/// numbers: 6 digits is reproducible exactly wherever the same f64 bits
+/// arrive.
 fn f(x: f64) -> JsonValue {
     JsonValue::Str(fmt_f64(x))
 }

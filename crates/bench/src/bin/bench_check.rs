@@ -42,26 +42,26 @@
 
 use std::process::ExitCode;
 
-/// Extracts a numeric field from the flat one-field-per-line JSON that
-/// `bench_sweep` writes.
-fn field(json: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\":");
-    let rest = &json[json.find(&pat)? + pat.len()..];
-    let end = rest.find([',', '}', '\n'])?;
-    rest[..end].trim().parse().ok()
-}
+use scalesim_trace::json::JsonValue;
 
 fn main() -> ExitCode {
     let path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_sweep.json".to_string());
-    let json = match std::fs::read_to_string(&path) {
-        Ok(s) => s,
+    let doc = match std::fs::read_to_string(&path) {
+        Ok(text) => match JsonValue::parse(&text) {
+            Ok(doc) => doc,
+            Err(e) => {
+                eprintln!("error: parse {path}: {e}");
+                return ExitCode::from(2);
+            }
+        },
         Err(e) => {
             eprintln!("error: read {path}: {e}");
             return ExitCode::from(2);
         }
     };
+    let field = |key: &str| doc.get(key).and_then(JsonValue::as_num);
     // (field, max allowed %). Non-negativity is checked for all of them.
     let budgets = [
         ("checkpoint_overhead_pct", 3.0),
@@ -76,7 +76,7 @@ fn main() -> ExitCode {
     ];
     let mut violations = 0;
     for (key, budget) in budgets {
-        let Some(v) = field(&json, key) else {
+        let Some(v) = field(key) else {
             eprintln!("error: {path}: missing field {key}");
             return ExitCode::from(2);
         };
@@ -93,7 +93,7 @@ fn main() -> ExitCode {
     // (field, ceiling): positive absolute costs, not overhead ratios.
     let ceilings = [("server_storm_ns_per_event", 2000.0)];
     for (key, ceiling) in ceilings {
-        let Some(v) = field(&json, key) else {
+        let Some(v) = field(key) else {
             eprintln!("error: {path}: missing field {key}");
             return ExitCode::from(2);
         };
@@ -107,7 +107,7 @@ fn main() -> ExitCode {
     // The signed median is a second opinion, not a budget: it must be
     // recorded (so the min-ratio clamp cannot silently hide a real
     // cost), but a negative value is legitimate host drift.
-    match field(&json, "campaign_overhead_median_pct") {
+    match field("campaign_overhead_median_pct") {
         Some(v) => println!("ok: campaign_overhead_median_pct = {v:+.2}% (recorded, unbudgeted)"),
         None => {
             eprintln!("error: {path}: missing field campaign_overhead_median_pct");

@@ -40,7 +40,6 @@
 
 mod config;
 mod error;
-pub mod json;
 mod replay;
 mod report;
 mod runtime;
@@ -49,10 +48,10 @@ pub mod snapshot;
 
 pub use config::{JvmConfig, JvmConfigBuilder, OldGenPolicy};
 pub use error::{ConfigError, InvariantViolation, MonitorKind, SimError};
-pub use json::JsonValue;
 pub use replay::{replay_gc, ReplayOutcome};
 pub use report::{RunOutcome, RunReport, ServerStats, ThreadReport};
 pub use runtime::Jvm;
 pub use scalesim_sync::LockAlg;
+pub use scalesim_trace::json::JsonValue;
 pub use scalesim_trace::TraceConfig;
 pub use snapshot::{report_from_json, report_to_json, ReproSpec, SnapshotError};

@@ -23,6 +23,7 @@ use scalesim_objtrace::{ObjectTracer, Retention, TraceEvent, TracerSnapshot};
 use scalesim_sched::StateTimes;
 use scalesim_simkit::{AbortReason, ChaosConfig, RunBudget, SimDuration, SimTime};
 use scalesim_sync::{LockAlg, LockReport, MonitorStats};
+use scalesim_trace::json::JsonValue;
 use scalesim_trace::{CounterId, Counters, EventKind, Timeline, TimelineEvent, TraceConfig};
 use scalesim_workloads::{
     app_by_name, AppModel, ArrivalProcess, Backoff, ClientPolicy, LockProfile, RequestClass,
@@ -31,7 +32,6 @@ use scalesim_workloads::{
 
 use crate::config::JvmConfig;
 use crate::error::SimError;
-use crate::json::JsonValue;
 use crate::report::{RunOutcome, RunReport, ServerStats, ThreadReport};
 
 /// A snapshot (de)serialization failure: a missing key, a wrong shape,
@@ -61,10 +61,6 @@ fn u(n: u64) -> JsonValue {
 
 fn s(text: &str) -> JsonValue {
     JsonValue::Str(text.to_owned())
-}
-
-fn obj(pairs: Vec<(&str, JsonValue)>) -> JsonValue {
-    JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
 }
 
 fn get<'a>(v: &'a JsonValue, key: &str) -> Result<&'a JsonValue, SnapshotError> {
@@ -123,7 +119,7 @@ fn hist_to_json(h: &LogHistogram) -> JsonValue {
         .filter(|(_, &c)| c > 0)
         .map(|(i, &c)| JsonValue::Arr(vec![u(i as u64), u(c)]))
         .collect();
-    obj(vec![
+    JsonValue::obj([
         ("buckets", JsonValue::Arr(buckets)),
         ("count", u(h.count())),
         // u128 exceeds the JSON integer range we guarantee; decimal text.
@@ -158,7 +154,7 @@ fn hist_from_json(v: &JsonValue) -> Result<LogHistogram, SnapshotError> {
 }
 
 fn server_stats_to_json(stats: &ServerStats) -> JsonValue {
-    obj(vec![
+    JsonValue::obj([
         ("policy", s(&stats.policy)),
         ("arrivals", u(stats.arrivals)),
         ("goodput", u(stats.goodput)),
@@ -295,7 +291,7 @@ fn locks_to_json(locks: &LockReport) -> JsonValue {
         .iter()
         .map(|(name, stats)| JsonValue::Arr(vec![s(name), stats_to_json(stats)]))
         .collect();
-    obj(vec![
+    JsonValue::obj([
         ("total", stats_to_json(&locks.total)),
         ("by_class", JsonValue::Arr(by_class)),
         ("hold_hist", hist_to_json(&locks.hold_hist)),
@@ -377,7 +373,7 @@ fn trace_event_from_json(v: &JsonValue) -> Result<TraceEvent, SnapshotError> {
 
 fn tracer_to_json(tracer: &ObjectTracer) -> JsonValue {
     let snap = tracer.snapshot();
-    obj(vec![
+    JsonValue::obj([
         ("retention", s(retention_name(snap.retention))),
         ("hist", hist_to_json(&snap.hist)),
         (
@@ -493,7 +489,7 @@ fn timeline_to_json(timeline: &Timeline) -> JsonValue {
             ])
         })
         .collect();
-    obj(vec![
+    JsonValue::obj([
         ("enabled", JsonValue::Bool(enabled)),
         ("capacity", u(capacity as u64)),
         ("head", u(head as u64)),
@@ -565,9 +561,9 @@ fn outcome_to_json(outcome: &RunOutcome) -> JsonValue {
                 AbortReason::MaxHostMs(ms) => JsonValue::Arr(vec![s("host_ms"), u(*ms)]),
                 AbortReason::Watchdog => JsonValue::Arr(vec![s("watchdog")]),
             };
-            obj(vec![("trunc", tagged)])
+            JsonValue::obj([("trunc", tagged)])
         }
-        RunOutcome::Quarantined(why) => obj(vec![("quar", s(why))]),
+        RunOutcome::Quarantined(why) => JsonValue::obj([("quar", s(why))]),
     }
 }
 
@@ -646,7 +642,7 @@ pub fn report_to_json(report: &RunReport) -> JsonValue {
     if let Some(stats) = &report.server {
         pairs.push(("server", server_stats_to_json(stats)));
     }
-    obj(pairs)
+    JsonValue::obj(pairs)
 }
 
 /// Rebuilds a [`RunReport`] from [`report_to_json`] output.
@@ -743,7 +739,7 @@ pub struct ReproSpec {
 }
 
 fn chaos_to_json(chaos: &ChaosConfig) -> JsonValue {
-    obj(vec![
+    JsonValue::obj([
         ("drop_wakeup", u(chaos.drop_wakeup_period)),
         ("spurious", u(chaos.spurious_wakeup_period)),
         ("gc_stall", u(chaos.gc_stall_period)),
@@ -772,11 +768,10 @@ fn chaos_from_json(v: &JsonValue) -> Result<ChaosConfig, SnapshotError> {
 
 fn server_spec_to_json(spec: &ServerSpec) -> JsonValue {
     let arrival = match &spec.arrival {
-        ArrivalProcess::OpenPoisson { rate_per_sec } => obj(vec![
-            ("kind", s("open")),
-            ("rate_per_sec", u(*rate_per_sec)),
-        ]),
-        ArrivalProcess::ClosedLoop { clients, think_ns } => obj(vec![
+        ArrivalProcess::OpenPoisson { rate_per_sec } => {
+            JsonValue::obj([("kind", s("open")), ("rate_per_sec", u(*rate_per_sec))])
+        }
+        ArrivalProcess::ClosedLoop { clients, think_ns } => JsonValue::obj([
             ("kind", s("closed")),
             ("clients", u(*clients as u64)),
             ("think_lo", u(think_ns.0)),
@@ -802,18 +797,18 @@ fn server_spec_to_json(spec: &ServerSpec) -> JsonValue {
                     ("hold_hi", u(lock.held_ns.1)),
                 ]);
             }
-            obj(pairs)
+            JsonValue::obj(pairs)
         })
         .collect();
     let backoff = match spec.client.backoff {
-        Backoff::None => obj(vec![("kind", s("none"))]),
-        Backoff::Exponential { base_ns, cap_ns } => obj(vec![
+        Backoff::None => JsonValue::obj([("kind", s("none"))]),
+        Backoff::Exponential { base_ns, cap_ns } => JsonValue::obj([
             ("kind", s("exp")),
             ("base_ns", u(base_ns)),
             ("cap_ns", u(cap_ns)),
         ]),
     };
-    let client = obj(vec![
+    let client = JsonValue::obj([
         ("timeout_ns", u(spec.client.timeout_ns)),
         ("max_retries", u(u64::from(spec.client.max_retries))),
         ("backoff", backoff),
@@ -835,14 +830,14 @@ fn server_spec_to_json(spec: &ServerSpec) -> JsonValue {
         ("horizon_ns", u(spec.horizon_ns)),
         ("classes", JsonValue::Arr(classes)),
         ("client", client),
-        ("policy", obj(policy)),
+        ("policy", JsonValue::obj(policy)),
         ("measure_from_ns", u(spec.measure_from_ns)),
     ];
     if let Some((start, end)) = spec.fault_window_ns {
         pairs.push(("fault_start", u(start)));
         pairs.push(("fault_end", u(end)));
     }
-    obj(pairs)
+    JsonValue::obj(pairs)
 }
 
 fn opt_u64(v: &JsonValue, key: &str) -> Result<Option<u64>, SnapshotError> {
@@ -939,7 +934,7 @@ fn budget_to_json(budget: &RunBudget) -> JsonValue {
     if let Some(ms) = budget.watchdog_ms {
         pairs.push(("watchdog_ms", u(ms)));
     }
-    obj(pairs)
+    JsonValue::obj(pairs)
 }
 
 fn budget_from_json(v: &JsonValue) -> Result<RunBudget, SnapshotError> {
@@ -1018,7 +1013,7 @@ impl ReproSpec {
             ("spec_key", s(&format!("{:016x}", self.spec_key))),
             ("exact", JsonValue::Bool(self.exact)),
         ]);
-        obj(pairs)
+        JsonValue::obj(pairs)
     }
 
     /// Rebuilds a spec from [`ReproSpec::to_json`] output.
@@ -1182,6 +1177,58 @@ mod tests {
             pairs.retain(|(k, _)| k != "counters");
         }
         assert!(report_from_json(&doc).is_err());
+    }
+
+    /// `doc` with the value under top-level `key` replaced.
+    fn with_field(doc: &JsonValue, key: &str, value: &JsonValue) -> JsonValue {
+        let mut doc = doc.clone();
+        if let JsonValue::Obj(pairs) = &mut doc {
+            let slot = pairs
+                .iter_mut()
+                .find(|(k, _)| k == key)
+                .expect("key present");
+            slot.1 = value.clone();
+        }
+        doc
+    }
+
+    #[test]
+    fn lossy_numbers_are_rejected_where_a_u64_belongs() {
+        // The parser accepts each of these (as `Num` or `Null`); reading
+        // one into a u64 field would lose bits, so decoding must refuse.
+        let report = report_to_json(&small_report(Retention::HistogramOnly, TraceConfig::off()));
+        let repro = ReproSpec {
+            app: "xalan".to_owned(),
+            total_items: 1,
+            threads: 1,
+            cores_override: None,
+            seed: 1,
+            heap_bytes_override: None,
+            monitors: false,
+            retention: Retention::HistogramOnly,
+            chaos: ChaosConfig::default(),
+            budget: RunBudget::default(),
+            server: None,
+            lock_alg: LockAlg::Fifo,
+            spec_key: 0,
+            exact: false,
+        }
+        .to_json();
+        assert!(report_from_json(&report).is_ok());
+        assert!(ReproSpec::from_json(&repro).is_ok());
+        for lossy in ["1.5", "-3", "1e3", "null", "18446744073709551616"] {
+            let value = JsonValue::parse(lossy).unwrap();
+            for key in ["threads", "events_processed"] {
+                let doc = with_field(&report, key, &value);
+                let doc = JsonValue::parse(&doc.to_string()).unwrap();
+                assert!(report_from_json(&doc).is_err(), "report {key} = {lossy}");
+            }
+            for key in ["total_items", "seed"] {
+                let doc = with_field(&repro, key, &value);
+                let doc = JsonValue::parse(&doc.to_string()).unwrap();
+                assert!(ReproSpec::from_json(&doc).is_err(), "repro {key} = {lossy}");
+            }
+        }
     }
 
     #[test]

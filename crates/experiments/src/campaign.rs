@@ -60,7 +60,7 @@ use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
-use scalesim_core::SimError;
+use scalesim_core::{JsonValue, SimError};
 use scalesim_workloads::{all_apps, scalable_apps, AppModel};
 
 use crate::artifacts::{artifact_tables, ArtifactTable};
@@ -104,23 +104,23 @@ pub struct CampaignSpec {
 impl CampaignSpec {
     /// The canonical one-line serialization stored as `campaign.json`.
     /// `scale` is carried as its exact `{:?}` rendering (a string, so
-    /// the std-only JSON layer never has to parse a float) — two specs
-    /// are compatible iff their canonical forms are byte-equal.
+    /// compatibility is a byte comparison that no float formatting can
+    /// blur) — two specs are compatible iff their canonical forms are
+    /// byte-equal.
     #[must_use]
     pub fn canonical(&self) -> String {
-        let threads: Vec<String> = self
-            .params
-            .thread_counts
-            .iter()
-            .map(ToString::to_string)
-            .collect();
-        format!(
-            "{{\"v\":1,\"artifact\":\"{}\",\"scale\":\"{:?}\",\"seed\":{},\"threads\":[{}]}}\n",
-            self.artifact,
-            self.params.scale,
-            self.params.seed,
-            threads.join(",")
-        )
+        let threads = self.params.thread_counts.iter();
+        let spec = JsonValue::obj([
+            ("v", JsonValue::U64(1)),
+            ("artifact", JsonValue::Str(self.artifact.clone())),
+            ("scale", JsonValue::Str(format!("{:?}", self.params.scale))),
+            ("seed", JsonValue::U64(self.params.seed)),
+            (
+                "threads",
+                JsonValue::Arr(threads.map(|&t| JsonValue::U64(t as u64)).collect()),
+            ),
+        ]);
+        format!("{spec}\n")
     }
 }
 

@@ -99,12 +99,12 @@ fn crc32(bytes: &[u8]) -> u32 {
 /// newline). Shared with the campaign runner, whose per-worker segments
 /// use the identical framing.
 pub(crate) fn encode_record(key: u64, report: &RunReport, fp: u64, retries: u32) -> String {
-    let body = JsonValue::Obj(vec![
-        ("v".to_owned(), JsonValue::U64(1)),
-        ("key".to_owned(), JsonValue::Str(format!("{key:016x}"))),
-        ("fp".to_owned(), JsonValue::Str(format!("{fp:016x}"))),
-        ("retries".to_owned(), JsonValue::U64(u64::from(retries))),
-        ("report".to_owned(), report_to_json(report)),
+    let body = JsonValue::obj([
+        ("v", JsonValue::U64(1)),
+        ("key", JsonValue::Str(format!("{key:016x}"))),
+        ("fp", JsonValue::Str(format!("{fp:016x}"))),
+        ("retries", JsonValue::U64(u64::from(retries))),
+        ("report", report_to_json(report)),
     ])
     .to_string();
     format!("{:08x} {body}", crc32(body.as_bytes()))

@@ -318,16 +318,18 @@ fn write_manifests(
     let path = dir.join("manifest.jsonl");
     let mut body = String::new();
     for m in manifests {
-        let mut line = m.to_json_line();
-        if let Some(fp) = analytics_fp {
-            debug_assert!(line.ends_with('}'));
-            line.pop();
-            line.push_str(&format!(
-                ",\"analytics\":\"analytics.json\",\"analytics_fp\":\"{fp:016x}\"}}"
+        let mut line = m.to_json();
+        if let (Some(fp), JsonValue::Obj(pairs)) = (analytics_fp, &mut line) {
+            pairs.push((
+                "analytics".to_owned(),
+                JsonValue::Str("analytics.json".to_owned()),
+            ));
+            pairs.push((
+                "analytics_fp".to_owned(),
+                JsonValue::Str(format!("{fp:016x}")),
             ));
         }
-        body.push_str(&line);
-        body.push('\n');
+        body.push_str(&format!("{line}\n"));
     }
     write_atomic(&path, body).map_err(|e| format!("write {}: {e}", path.display()))?;
     println!("wrote {} ({} runs)", path.display(), manifests.len());

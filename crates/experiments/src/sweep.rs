@@ -55,7 +55,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
-use scalesim_core::{Jvm, JvmConfig, RunOutcome, RunReport, SimError};
+use scalesim_core::{JsonValue, Jvm, JvmConfig, RunOutcome, RunReport, SimError};
 use scalesim_simkit::{AbortReason, CancelToken, ChaosPlan, FaultClass};
 use scalesim_trace::CounterId;
 use scalesim_workloads::{AppModel, SyntheticApp};
@@ -289,58 +289,41 @@ pub struct RunManifest {
     pub degraded: bool,
 }
 
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 impl RunManifest {
-    /// Renders the manifest as one JSONL line (no trailing newline).
-    /// Carries every key `scalesim_trace::check::MANIFEST_REQUIRED_KEYS`
-    /// demands.
+    /// The manifest as one JSON object. Carries every key
+    /// `scalesim_trace::check::MANIFEST_REQUIRED_KEYS` demands.
+    #[must_use]
+    pub fn to_json(&self) -> JsonValue {
+        let s = |text: &str| JsonValue::Str(text.to_owned());
+        JsonValue::obj([
+            ("app", s(&self.app)),
+            ("threads", JsonValue::U64(self.threads as u64)),
+            ("seed", JsonValue::U64(self.seed)),
+            ("outcome", s(&self.outcome)),
+            ("detail", s(&self.detail)),
+            ("host_ns", JsonValue::U64(self.host_ns)),
+            ("events", JsonValue::U64(self.events)),
+            ("sim_wall_ns", JsonValue::U64(self.sim_wall_ns)),
+            ("gc_ns", JsonValue::U64(self.gc_ns)),
+            ("memo", s(&self.memo)),
+            ("retries", JsonValue::U64(u64::from(self.retries))),
+            ("memo_evicted", JsonValue::Bool(self.memo_evicted)),
+            ("monitor_scans", JsonValue::U64(self.monitor_scans)),
+            ("trace_events", JsonValue::U64(self.trace_events)),
+            ("trace_dropped", JsonValue::U64(self.trace_dropped)),
+            ("policy", s(&self.policy)),
+            ("lat_p50_ns", JsonValue::U64(self.lat_p50_ns)),
+            ("lat_p99_ns", JsonValue::U64(self.lat_p99_ns)),
+            ("lat_p999_ns", JsonValue::U64(self.lat_p999_ns)),
+            ("degraded", JsonValue::Bool(self.degraded)),
+        ])
+    }
+
+    /// Renders [`RunManifest::to_json`] as one JSONL line (no trailing
+    /// newline).
     #[must_use]
     pub fn to_json_line(&self) -> String {
-        format!(
-            concat!(
-                "{{\"app\":\"{}\",\"threads\":{},\"seed\":{},\"outcome\":\"{}\",",
-                "\"detail\":\"{}\",\"host_ns\":{},\"events\":{},\"sim_wall_ns\":{},",
-                "\"gc_ns\":{},\"memo\":\"{}\",\"retries\":{},\"memo_evicted\":{},",
-                "\"monitor_scans\":{},\"trace_events\":{},\"trace_dropped\":{},",
-                "\"policy\":\"{}\",\"lat_p50_ns\":{},\"lat_p99_ns\":{},",
-                "\"lat_p999_ns\":{},\"degraded\":{}}}"
-            ),
-            json_escape(&self.app),
-            self.threads,
-            self.seed,
-            json_escape(&self.outcome),
-            json_escape(&self.detail),
-            self.host_ns,
-            self.events,
-            self.sim_wall_ns,
-            self.gc_ns,
-            json_escape(&self.memo),
-            self.retries,
-            self.memo_evicted,
-            self.monitor_scans,
-            self.trace_events,
-            self.trace_dropped,
-            json_escape(&self.policy),
-            self.lat_p50_ns,
-            self.lat_p99_ns,
-            self.lat_p999_ns,
-            self.degraded,
-        )
+        self.to_json().to_string()
     }
 }
 

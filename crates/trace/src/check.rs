@@ -1,266 +1,16 @@
-//! Std-only JSON parsing for CI validation of exported artifacts.
+//! CI validation of exported artifacts.
 //!
 //! The container builds fully offline, so there is no `jq`/`python`
-//! guarantee in CI. This module carries a minimal, strict JSON parser —
-//! order-preserving objects, no number cleverness — plus validators for
-//! the two machine-readable artifacts this workspace emits: Chrome
-//! trace-event exports ([`validate_chrome_trace`]) and run-manifest JSONL
-//! lines ([`validate_manifest_line`]).
+//! guarantee in CI. These validators run the workspace's one JSON parser
+//! ([`crate::json`], re-exported here as [`parse_json`] / [`JsonValue`])
+//! over the three machine-readable artifacts this workspace emits:
+//! Chrome trace-event exports ([`validate_chrome_trace`]), run-manifest
+//! JSONL lines ([`validate_manifest_line`]) and `analytics.json`
+//! ([`validate_analytics`]).
 
 use std::collections::BTreeMap;
 
-/// A parsed JSON value. Object keys keep their textual order.
-#[derive(Debug, Clone, PartialEq)]
-pub enum JsonValue {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number, held as `f64`.
-    Num(f64),
-    /// A string, with escapes decoded.
-    Str(String),
-    /// An array.
-    Arr(Vec<JsonValue>),
-    /// An object, as ordered `(key, value)` pairs.
-    Obj(Vec<(String, JsonValue)>),
-}
-
-impl JsonValue {
-    /// Looks up a key in an object value.
-    #[must_use]
-    pub fn get(&self, key: &str) -> Option<&JsonValue> {
-        match self {
-            JsonValue::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    #[must_use]
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            JsonValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload, if this is a number.
-    #[must_use]
-    pub fn as_num(&self) -> Option<f64> {
-        match self {
-            JsonValue::Num(n) => Some(*n),
-            _ => None,
-        }
-    }
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Parser<'a> {
-    fn new(text: &'a str) -> Self {
-        Parser {
-            bytes: text.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn error(&self, message: &str) -> String {
-        format!("json byte {}: {}", self.pos, message)
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn bump(&mut self) -> Option<u8> {
-        let b = self.peek()?;
-        self.pos += 1;
-        Some(b)
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<(), String> {
-        if self.bump() == Some(b) {
-            Ok(())
-        } else {
-            self.pos = self.pos.saturating_sub(1);
-            Err(self.error(&format!("expected `{}`", b as char)))
-        }
-    }
-
-    fn expect_literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.error(&format!("expected `{lit}`")))
-        }
-    }
-
-    fn parse_value(&mut self) -> Result<JsonValue, String> {
-        self.skip_ws();
-        match self.peek() {
-            Some(b'{') => self.parse_object(),
-            Some(b'[') => self.parse_array(),
-            Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
-            Some(b't') => {
-                self.expect_literal("true")?;
-                Ok(JsonValue::Bool(true))
-            }
-            Some(b'f') => {
-                self.expect_literal("false")?;
-                Ok(JsonValue::Bool(false))
-            }
-            Some(b'n') => {
-                self.expect_literal("null")?;
-                Ok(JsonValue::Null)
-            }
-            Some(b'-' | b'0'..=b'9') => self.parse_number(),
-            Some(other) => Err(self.error(&format!("unexpected byte `{}`", other as char))),
-            None => Err(self.error("unexpected end of input")),
-        }
-    }
-
-    fn parse_object(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'{')?;
-        let mut pairs = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(JsonValue::Obj(pairs));
-        }
-        loop {
-            self.skip_ws();
-            let key = self.parse_string()?;
-            self.skip_ws();
-            self.expect(b':')?;
-            let value = self.parse_value()?;
-            pairs.push((key, value));
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => {}
-                Some(b'}') => return Ok(JsonValue::Obj(pairs)),
-                _ => {
-                    return Err(self.error("expected `,` or `}` in object"));
-                }
-            }
-        }
-    }
-
-    fn parse_array(&mut self) -> Result<JsonValue, String> {
-        self.expect(b'[')?;
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(JsonValue::Arr(items));
-        }
-        loop {
-            items.push(self.parse_value()?);
-            self.skip_ws();
-            match self.bump() {
-                Some(b',') => {}
-                Some(b']') => return Ok(JsonValue::Arr(items)),
-                _ => {
-                    return Err(self.error("expected `,` or `]` in array"));
-                }
-            }
-        }
-    }
-
-    fn parse_string(&mut self) -> Result<String, String> {
-        self.expect(b'"')?;
-        let mut out = String::new();
-        loop {
-            match self.bump() {
-                None => return Err(self.error("unterminated string")),
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.bump() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'b') => out.push('\u{8}'),
-                    Some(b'f') => out.push('\u{c}'),
-                    Some(b'u') => {
-                        let hex = self
-                            .bytes
-                            .get(self.pos..self.pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or_else(|| self.error("truncated \\u escape"))?;
-                        let code = u32::from_str_radix(hex, 16)
-                            .map_err(|_| self.error("bad \\u escape"))?;
-                        self.pos += 4;
-                        // Surrogates are not paired here; the exporter
-                        // never emits them.
-                        out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                    }
-                    _ => return Err(self.error("bad escape")),
-                },
-                Some(b) if b < 0x20 => return Err(self.error("raw control byte in string")),
-                Some(b) => {
-                    // Re-assemble multi-byte UTF-8 by copying raw bytes.
-                    let start = self.pos - 1;
-                    let mut end = self.pos;
-                    while end < self.bytes.len() && self.bytes[end] & 0xc0 == 0x80 {
-                        end += 1;
-                    }
-                    if b < 0x80 {
-                        out.push(b as char);
-                    } else {
-                        let chunk = std::str::from_utf8(&self.bytes[start..end])
-                            .map_err(|_| self.error("invalid UTF-8 in string"))?;
-                        out.push_str(chunk);
-                        self.pos = end;
-                    }
-                }
-            }
-        }
-    }
-
-    fn parse_number(&mut self) -> Result<JsonValue, String> {
-        let start = self.pos;
-        if self.peek() == Some(b'-') {
-            self.pos += 1;
-        }
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-        ) {
-            self.pos += 1;
-        }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
-        raw.parse::<f64>()
-            .map(JsonValue::Num)
-            .map_err(|_| self.error(&format!("bad number `{raw}`")))
-    }
-}
-
-/// Parses one JSON document; trailing garbage is an error.
-///
-/// # Errors
-///
-/// Returns a message naming the byte offset of the first problem.
-pub fn parse_json(text: &str) -> Result<JsonValue, String> {
-    let mut parser = Parser::new(text);
-    let value = parser.parse_value()?;
-    parser.skip_ws();
-    if parser.pos != parser.bytes.len() {
-        return Err(parser.error("trailing data after document"));
-    }
-    Ok(value)
-}
+pub use crate::json::{parse_json, JsonValue};
 
 /// Summary of a validated Chrome trace export.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -291,10 +41,11 @@ pub struct TraceCheck {
 /// error from [`parse_json`]).
 pub fn validate_chrome_trace(text: &str) -> Result<TraceCheck, String> {
     let doc = parse_json(text)?;
-    let events = doc.get("traceEvents").ok_or("missing traceEvents")?.clone();
-    let JsonValue::Arr(items) = events else {
-        return Err("traceEvents is not an array".to_owned());
-    };
+    let items = doc
+        .get("traceEvents")
+        .ok_or("missing traceEvents")?
+        .as_arr()
+        .ok_or("traceEvents is not an array")?;
     let mut check = TraceCheck {
         events: items.len(),
         ..TraceCheck::default()
@@ -460,37 +211,6 @@ pub fn validate_analytics(text: &str) -> Result<AnalyticsCheck, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn parses_scalars_and_nesting() {
-        let doc = parse_json(r#"{"a":[1,-2.5,true,null,"x\n"],"b":{"c":"d"}}"#).unwrap();
-        assert_eq!(
-            doc.get("a").unwrap(),
-            &JsonValue::Arr(vec![
-                JsonValue::Num(1.0),
-                JsonValue::Num(-2.5),
-                JsonValue::Bool(true),
-                JsonValue::Null,
-                JsonValue::Str("x\n".to_owned()),
-            ])
-        );
-        assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_str(), Some("d"));
-    }
-
-    #[test]
-    fn rejects_malformed_documents() {
-        assert!(parse_json("{").is_err());
-        assert!(parse_json("[1,]").is_err());
-        assert!(parse_json("{\"a\" 1}").is_err());
-        assert!(parse_json("123 45").is_err());
-        assert!(parse_json("\"unterminated").is_err());
-    }
-
-    #[test]
-    fn unicode_and_escapes_decode() {
-        let doc = parse_json(r#""café — ok""#).unwrap();
-        assert_eq!(doc.as_str(), Some("café — ok"));
-    }
 
     #[test]
     fn validates_a_real_export() {

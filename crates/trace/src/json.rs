@@ -1,22 +1,35 @@
-//! Minimal lossless JSON for checkpoint and repro records.
+//! Std-only lossless JSON: the workspace's one value type, parser and
+//! writer.
 //!
-//! The CI validator in `scalesim-trace` parses numbers into `f64`, which
-//! silently rounds integers above 2^53 — fatal for checkpoint records
-//! that must round-trip `u64::MAX` sentinels bit-exactly. This module is
-//! the persistence-grade counterpart: integers are `u64` end to end,
-//! anything wider (or floating) travels as a string, and the writer and
-//! parser are exact inverses on every value the snapshot layer emits.
+//! Every JSON document the simulator reads or writes goes through here:
+//! run-report snapshots and repro specs (`scalesim-core`), checkpoint
+//! records, run manifests and campaign specs (`scalesim-experiments`),
+//! `analytics.json`, and the CI validators in [`crate::check`].
+//!
+//! Unsigned integers that fit in a `u64` are held exactly
+//! ([`JsonValue::U64`]): checkpoint records must round-trip `u64::MAX`
+//! sentinels bit-exactly, which an `f64` cannot (it rounds above 2^53).
+//! Any other number — negative, fractional, with an exponent, or wider
+//! than `u64` — parses to [`JsonValue::Num`], which the validators read
+//! through [`JsonValue::as_num`]. The snapshot layer reads every numeric
+//! field through [`JsonValue::as_u64`], so a lossy number where an exact
+//! one belongs is rejected there. The writer ([`fmt::Display`]) and the
+//! parser are exact inverses on every finite value.
 
 use std::fmt;
 
-/// A JSON value restricted to what lossless persistence needs: no
-/// floats, no negatives, no `null`.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// A parsed JSON value. Object keys keep their textual order.
+#[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
+    /// `null`.
+    Null,
     /// `true` / `false`.
     Bool(bool),
-    /// An unsigned integer, held exactly.
+    /// An unsigned integer that fits in a `u64`, held exactly.
     U64(u64),
+    /// Any other finite number (negative, fractional, exponent, or wider
+    /// than `u64`).
+    Num(f64),
     /// A string, with escapes decoded.
     Str(String),
     /// An array.
@@ -26,6 +39,12 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
+    /// Builds an object from `(key, value)` pairs, keeping their order.
+    #[must_use]
+    pub fn obj<'k>(pairs: impl IntoIterator<Item = (&'k str, JsonValue)>) -> JsonValue {
+        JsonValue::Obj(pairs.into_iter().map(|(k, v)| (k.to_owned(), v)).collect())
+    }
+
     /// Looks up a key in an object value.
     #[must_use]
     pub fn get(&self, key: &str) -> Option<&JsonValue> {
@@ -35,11 +54,21 @@ impl JsonValue {
         }
     }
 
-    /// The integer payload, if this is an integer.
+    /// The exact integer payload, if this is a `u64`.
     #[must_use]
     pub fn as_u64(&self) -> Option<u64> {
         match self {
             JsonValue::U64(n) => Some(*n),
+            _ => None,
+        }
+    }
+
+    /// The numeric payload of any number, widened to `f64`.
+    #[must_use]
+    pub fn as_num(&self) -> Option<f64> {
+        match self {
+            JsonValue::U64(n) => Some(*n as f64),
+            JsonValue::Num(n) => Some(*n),
             _ => None,
         }
     }
@@ -73,12 +102,10 @@ impl JsonValue {
 
     /// Parses one JSON document; trailing garbage is an error.
     ///
-    /// Numbers must be unsigned integers that fit in `u64` — the only
-    /// numeric shape the snapshot writer emits.
-    ///
     /// # Errors
     ///
-    /// Returns a message naming the byte offset of the first problem.
+    /// Returns a message naming the byte offset of the first problem,
+    /// including numbers whose value is not finite (`1e999`).
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut parser = Parser {
             bytes: text.as_bytes(),
@@ -93,11 +120,26 @@ impl JsonValue {
     }
 }
 
+/// Parses one JSON document; the free-function spelling of
+/// [`JsonValue::parse`].
+///
+/// # Errors
+///
+/// Returns a message naming the byte offset of the first problem.
+pub fn parse_json(text: &str) -> Result<JsonValue, String> {
+    JsonValue::parse(text)
+}
+
 impl fmt::Display for JsonValue {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
+            JsonValue::Null => f.write_str("null"),
             JsonValue::Bool(b) => write!(f, "{b}"),
             JsonValue::U64(n) => write!(f, "{n}"),
+            // `{:?}` is the shortest exact rendering and always keeps a
+            // `.` or exponent, so the value parses back as a `Num`.
+            JsonValue::Num(n) if n.is_finite() => write!(f, "{n:?}"),
+            JsonValue::Num(_) => f.write_str("null"),
             JsonValue::Str(s) => write_escaped(f, s),
             JsonValue::Arr(items) => {
                 f.write_str("[")?;
@@ -166,6 +208,15 @@ impl Parser<'_> {
         }
     }
 
+    /// Skips a run of ASCII digits and returns how many there were.
+    fn skip_digits(&mut self) -> usize {
+        let start = self.pos;
+        while matches!(self.peek(), Some(b'0'..=b'9')) {
+            self.pos += 1;
+        }
+        self.pos - start
+    }
+
     fn parse_value(&mut self) -> Result<JsonValue, String> {
         self.skip_ws();
         match self.peek() {
@@ -174,7 +225,8 @@ impl Parser<'_> {
             Some(b'"') => Ok(JsonValue::Str(self.parse_string()?)),
             Some(b't') => self.parse_literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.parse_literal("false", JsonValue::Bool(false)),
-            Some(b'0'..=b'9') => self.parse_number(),
+            Some(b'n') => self.parse_literal("null", JsonValue::Null),
+            Some(b'-' | b'0'..=b'9') => self.parse_number(),
             Some(other) => Err(self.error(&format!("unexpected byte `{}`", other as char))),
             None => Err(self.error("unexpected end of input")),
         }
@@ -283,18 +335,45 @@ impl Parser<'_> {
         }
     }
 
+    /// `-? digits (. digits)? ([eE] [+-]? digits)?`: a plain unsigned
+    /// integer that fits becomes a `U64`, anything else a finite `Num`.
     fn parse_number(&mut self) -> Result<JsonValue, String> {
         let start = self.pos;
-        while matches!(self.peek(), Some(b'0'..=b'9')) {
+        let mut plain = true;
+        if self.peek() == Some(b'-') {
             self.pos += 1;
+            plain = false;
         }
-        if matches!(self.peek(), Some(b'.' | b'e' | b'E' | b'-' | b'+')) {
-            return Err(self.error("only unsigned integers are supported"));
+        if self.skip_digits() == 0 {
+            return Err(self.error("expected digits"));
         }
-        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii digits");
-        raw.parse::<u64>()
-            .map(JsonValue::U64)
-            .map_err(|_| self.error(&format!("integer out of range `{raw}`")))
+        if self.peek() == Some(b'.') {
+            self.pos += 1;
+            plain = false;
+            if self.skip_digits() == 0 {
+                return Err(self.error("expected digits after `.`"));
+            }
+        }
+        if matches!(self.peek(), Some(b'e' | b'E')) {
+            self.pos += 1;
+            plain = false;
+            if matches!(self.peek(), Some(b'+' | b'-')) {
+                self.pos += 1;
+            }
+            if self.skip_digits() == 0 {
+                return Err(self.error("expected exponent digits"));
+            }
+        }
+        let raw = std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii number");
+        if plain {
+            if let Ok(n) = raw.parse::<u64>() {
+                return Ok(JsonValue::U64(n));
+            }
+        }
+        match raw.parse::<f64>() {
+            Ok(n) if n.is_finite() => Ok(JsonValue::Num(n)),
+            _ => Err(self.error(&format!("number out of range `{raw}`"))),
+        }
     }
 }
 
@@ -308,9 +387,20 @@ mod tests {
             ("max".to_owned(), JsonValue::U64(u64::MAX)),
             ("zero".to_owned(), JsonValue::U64(0)),
             ("flag".to_owned(), JsonValue::Bool(true)),
+            ("none".to_owned(), JsonValue::Null),
+            (
+                "nums".to_owned(),
+                JsonValue::Arr(vec![
+                    JsonValue::Num(1.5),
+                    JsonValue::Num(-3.0),
+                    JsonValue::Num(3.0),
+                    JsonValue::Num(1e300),
+                    JsonValue::Num(-2.5e-9),
+                ]),
+            ),
             (
                 "text".to_owned(),
-                JsonValue::Str("quote \" slash \\ nl \n tab \t café".to_owned()),
+                JsonValue::Str("quote \" slash \\ nl \n tab \t café — ok".to_owned()),
             ),
             (
                 "arr".to_owned(),
@@ -329,23 +419,76 @@ mod tests {
     }
 
     #[test]
-    fn rejects_floats_negatives_null_and_garbage() {
-        assert!(JsonValue::parse("1.5").is_err());
-        assert!(JsonValue::parse("-3").is_err());
-        assert!(JsonValue::parse("1e3").is_err());
-        assert!(JsonValue::parse("null").is_err());
-        assert!(JsonValue::parse("{").is_err());
-        assert!(JsonValue::parse("[1,]").is_err());
-        assert!(JsonValue::parse("12 3").is_err());
-        assert!(JsonValue::parse("18446744073709551616").is_err()); // u64::MAX + 1
+    fn parses_scalars_and_nesting() {
+        let doc = parse_json(r#"{"a":[1,-2.5,true,null,"x\n"],"b":{"c":"d"}}"#).unwrap();
+        assert_eq!(
+            doc.get("a").unwrap(),
+            &JsonValue::Arr(vec![
+                JsonValue::U64(1),
+                JsonValue::Num(-2.5),
+                JsonValue::Bool(true),
+                JsonValue::Null,
+                JsonValue::Str("x\n".to_owned()),
+            ])
+        );
+        assert_eq!(doc.get("b").unwrap().get("c").unwrap().as_str(), Some("d"));
+    }
+
+    #[test]
+    fn only_plain_unsigned_integers_stay_exact() {
+        let parse = |t: &str| JsonValue::parse(t).unwrap();
+        assert_eq!(parse("7"), JsonValue::U64(7));
+        assert_eq!(parse("1.5"), JsonValue::Num(1.5));
+        assert_eq!(parse("-3"), JsonValue::Num(-3.0));
+        assert_eq!(parse("1e3"), JsonValue::Num(1000.0));
+        assert_eq!(parse("2E-2"), JsonValue::Num(0.02));
+        // u64::MAX + 1 no longer fits, so it widens instead of wrapping.
+        assert_eq!(
+            parse("18446744073709551616"),
+            JsonValue::Num(18_446_744_073_709_551_616.0)
+        );
+        for lossy in ["1.5", "-3", "1e3", "null", "18446744073709551616"] {
+            assert_eq!(parse(lossy).as_u64(), None, "{lossy}");
+        }
+        assert_eq!(parse("7").as_num(), Some(7.0));
+        assert_eq!(parse("-3").as_num(), Some(-3.0));
+        assert_eq!(parse("\"7\"").as_num(), None);
+    }
+
+    #[test]
+    fn rejects_malformed_documents() {
+        for bad in [
+            "{",
+            "[1,]",
+            "{\"a\" 1}",
+            "12 3",
+            "\"unterminated",
+            r#""bad \q escape""#,
+            "1e999",
+            "-1e999",
+            "-",
+            "1.",
+            "1e",
+            "nul",
+            "",
+        ] {
+            assert!(JsonValue::parse(bad).is_err(), "{bad:?} parsed");
+        }
     }
 
     #[test]
     fn control_chars_escape_and_decode() {
-        let doc = JsonValue::Str("\u{1} bell \u{7}".to_owned());
+        let doc = JsonValue::Str("\u{1} bell \u{7} cr \r".to_owned());
         let text = doc.to_string();
         assert!(text.contains("\\u0001"));
+        assert!(text.contains("\\r"));
         assert_eq!(JsonValue::parse(&text).unwrap(), doc);
+    }
+
+    #[test]
+    fn non_finite_numbers_write_as_null() {
+        assert_eq!(JsonValue::Num(f64::NAN).to_string(), "null");
+        assert_eq!(JsonValue::Num(f64::INFINITY).to_string(), "null");
     }
 
     #[test]

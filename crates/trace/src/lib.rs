@@ -20,8 +20,11 @@
 //!   ([`CounterId`]), O(1) to increment and always on, unifying the tallies
 //!   that were previously scattered across `LockReport`, `HeapStats`,
 //!   `StateTimes` and sweep internals.
-//! * [`check`] — a minimal std-only JSON parser used by CI to validate
-//!   exported traces and run manifests without external tooling.
+//! * [`json`] — the workspace's one std-only JSON value type, parser and
+//!   writer: lossless for `u64`, used by snapshots, checkpoints,
+//!   manifests and analytics alike.
+//! * [`check`] — CI validators for exported traces, run manifests and
+//!   `analytics.json`, built on [`json`], needing no external tooling.
 //! * [`write_atomic`] — the shared write-to-temp-then-rename helper every
 //!   artifact goes through, so a killed process never leaves a truncated
 //!   file behind.
@@ -40,6 +43,7 @@ mod chrome;
 mod config;
 mod counters;
 mod event;
+pub mod json;
 mod text;
 mod timeline;
 

@@ -8,6 +8,8 @@ echo '== cargo fmt --check'
 cargo fmt --all -- --check
 echo '== cargo clippy (-D warnings)'
 cargo clippy --workspace --all-targets -- -D warnings
+echo '== scalebench compiles (its imports of the public API must still resolve)'
+cargo check --manifest-path scalebench/Cargo.toml --all-targets
 echo '== cargo build --release'
 cargo build --release --workspace
 echo '== cargo test -q'
