@@ -156,15 +156,9 @@ impl Store {
         self.dir.join("tail.jsonl")
     }
 
-    fn append(
-        &mut self,
-        key: u64,
-        report: &RunReport,
-        fp: u64,
-        retries: u32,
-    ) -> std::io::Result<()> {
-        let mut line = encode_record(key, report, fp, retries);
-        line.push('\n');
+    /// Appends one finished line (newline included) and seals the tail
+    /// once it holds [`SEGMENT_RECORDS`] records.
+    fn append(&mut self, line: &str) -> std::io::Result<()> {
         let mut file = std::fs::OpenOptions::new()
             .create(true)
             .append(true)
@@ -352,10 +346,30 @@ pub fn is_active() -> bool {
 /// Appends one completed run. Called from sweep workers; IO failures
 /// degrade to a warning — losing a checkpoint record costs a future
 /// re-simulation, never the sweep.
+///
+/// The record is encoded (report JSON plus crc) before the store lock
+/// is taken, so concurrent workers serialize in parallel and hold the
+/// lock only for the file append and any segment rotation.
 pub(crate) fn append_completed(key: u64, report: &RunReport, fp: u64, retries: u32) {
-    let mut guard = store().lock().unwrap_or_else(PoisonError::into_inner);
+    append_to(store(), key, report, fp, retries);
+}
+
+/// [`append_completed`] against an explicit store slot, so a test can
+/// drive the append path on a private store.
+fn append_to(slot: &Mutex<Option<Store>>, key: u64, report: &RunReport, fp: u64, retries: u32) {
+    if slot
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner)
+        .is_none()
+    {
+        return;
+    }
+    let mut line = encode_record(key, report, fp, retries);
+    line.push('\n');
+    let mut guard = slot.lock().unwrap_or_else(PoisonError::into_inner);
+    // The store may have been disabled while the line was encoded.
     let Some(st) = guard.as_mut() else { return };
-    if let Err(e) = st.append(key, report, fp, retries) {
+    if let Err(e) = st.append(&line) {
         eprintln!("checkpoint: dropping record for key {key:016x}: {e}");
     }
 }
@@ -383,6 +397,7 @@ pub(crate) fn take_restored(key: u64) -> Option<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashSet;
 
     #[test]
     fn crc32_matches_known_vector() {
@@ -407,6 +422,70 @@ mod tests {
         // A torn prefix fails too.
         assert!(decode_record(&line[..line.len() / 2]).is_none());
         assert!(decode_record("").is_none());
+    }
+
+    /// A traced record written by the `format!`-then-hash fingerprint
+    /// this crate used before it streamed the `Debug` text: the stored
+    /// fingerprint must still verify, or every existing store would
+    /// re-simulate on resume.
+    #[test]
+    fn stored_fingerprints_from_earlier_builds_still_verify() {
+        let line = include_str!("../goldens/checkpoint_traced_record.jsonl");
+        let record = decode_record(line.trim_end()).expect("fixture decodes");
+        assert!(!record.report.timeline.is_empty());
+        assert_eq!(sweep::fingerprint(&record.report), record.fp);
+        // It is the record of this spec, so a resume would serve it.
+        let mut spec = crate::RunSpec::new(scalesim_workloads::xalan().scaled(0.002), 2, 42);
+        spec.config.trace = scalesim_trace::TraceConfig::on();
+        assert_eq!(spec.memo_key(), record.key);
+    }
+
+    #[test]
+    fn concurrent_appends_rotate_one_segment_and_keep_every_line() {
+        let dir = std::env::temp_dir().join(format!("scalesim-ckpt-conc-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        // A private store: the process-wide one is shared with every
+        // other sweep running in this test binary.
+        let slot = Mutex::new(Some(Store {
+            dir: dir.clone(),
+            tail_records: 0,
+            next_seg: 0,
+        }));
+        let report = crate::RunSpec::new(scalesim_workloads::xalan().scaled(0.002), 2, 3)
+            .run()
+            .unwrap();
+        let fp = sweep::fingerprint(&report);
+        const THREADS: u64 = 4;
+        let per_thread = (SEGMENT_RECORDS as u64 + 40) / THREADS;
+        let start = std::sync::Barrier::new(THREADS as usize);
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let (slot, report, start) = (&slot, &report, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for n in 0..per_thread {
+                        append_to(slot, t * 1000 + n, report, fp, 0);
+                    }
+                });
+            }
+        });
+        let (segs, next) = segments_of(&dir);
+        assert_eq!((segs.len(), next), (1, 1));
+        let mut keys = HashSet::new();
+        let mut lines_per_file = Vec::new();
+        for path in segs.iter().chain([&dir.join("tail.jsonl")]) {
+            let text = std::fs::read_to_string(path).unwrap();
+            for line in text.lines() {
+                let record = decode_record(line).expect("every stored line decodes");
+                assert_eq!(record.fp, fp);
+                assert!(keys.insert(record.key), "duplicate key {}", record.key);
+            }
+            lines_per_file.push(text.lines().count());
+        }
+        assert_eq!(keys.len() as u64, THREADS * per_thread);
+        assert_eq!(lines_per_file[0], SEGMENT_RECORDS);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

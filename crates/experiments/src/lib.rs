@@ -98,8 +98,8 @@ pub use scalability::{run_scalability, Scalability, ScalabilityRow, SCALABLE_SPE
 pub use server::{run_server_study, server_specs, ServerRow, ServerStudy, SERVER_SCENARIOS};
 pub use shrink::{run_isolated, shrink_failure, write_repro, ShrinkOutcome, SHRINK_ATTEMPT_BUDGET};
 pub use sweep::{
-    cached_event_total, clear_run_cache, run_all, run_cache_size, take_run_manifests,
-    take_sweep_failures, RunManifest, RunSpec, SweepFailure, SweepFailureKind,
+    cached_event_total, clear_run_cache, fingerprints_total, run_all, run_cache_size,
+    take_run_manifests, take_sweep_failures, RunManifest, RunSpec, SweepFailure, SweepFailureKind,
 };
 pub use topo::{run_topology, TopoRow, TopologyStudy};
 pub use workdist::{run_workdist, Workdist, WorkdistRow};

@@ -51,7 +51,7 @@ use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
@@ -349,11 +349,38 @@ fn cache() -> &'static Mutex<HashMap<u64, CacheEntry>> {
     CACHE.get_or_init(|| Mutex::new(HashMap::new()))
 }
 
-/// Content fingerprint of a report (hash of its full `Debug` rendering).
+/// Fingerprints taken since process start (see [`fingerprints_total`]).
+static FINGERPRINTS: AtomicU64 = AtomicU64::new(0);
+
+/// Streams `Debug` output straight into a hasher, so a fingerprint never
+/// materializes the (often megabyte-sized) rendering.
+struct HashWriter<'h>(&'h mut DefaultHasher);
+
+impl fmt::Write for HashWriter<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        self.0.write(s.as_bytes());
+        Ok(())
+    }
+}
+
+/// Content fingerprint of a report: the hash of its full `Debug`
+/// rendering, bit-identical to hashing `format!("{report:?}")` as a
+/// `str` (the bytes, then the `0xff` terminator `str::hash` appends).
 pub(crate) fn fingerprint(report: &RunReport) -> u64 {
+    FINGERPRINTS.fetch_add(1, Ordering::Relaxed);
     let mut h = DefaultHasher::new();
-    format!("{report:?}").hash(&mut h);
+    fmt::write(&mut HashWriter(&mut h), format_args!("{report:?}")).expect("hashing never fails");
+    h.write_u8(0xff);
     h.finish()
+}
+
+/// Report fingerprints taken by this process so far: one per fresh
+/// simulation (in its worker), one per memo hit, one per record
+/// verified on resume or campaign merge. Always on, so tests can pin
+/// the count instead of timing it.
+#[must_use]
+pub fn fingerprints_total() -> u64 {
+    FINGERPRINTS.load(Ordering::Relaxed)
 }
 
 /// Inserts a report into the memo cache under `key` with an
@@ -487,6 +514,18 @@ fn guarded_attempt(spec: &RunSpec, slot: &WatchdogSlot) -> Result<RunReport, Str
     }
 }
 
+/// One worker's finished run, sent back over the sweep's result channel.
+struct Completion {
+    /// Index into the sweep's `specs`.
+    index: usize,
+    /// The report, or the quarantine cause after the retry also failed.
+    outcome: Result<RunReport, String>,
+    /// The report's fingerprint, taken once in the worker (memo on only).
+    fp: Option<u64>,
+    /// Crash-isolation retries spent (0 or 1).
+    retries: u32,
+}
+
 /// Whether a completed report may be persisted to the checkpoint store
 /// (or a campaign worker's segment).
 /// Host-time-dependent truncations are excluded: they encode transient
@@ -576,7 +615,7 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
     if !pending.is_empty() {
         let workers = worker_budget().min(pending.len());
         let next = AtomicUsize::new(0);
-        let (tx, rx) = mpsc::channel::<(usize, Result<RunReport, String>, u32)>();
+        let (tx, rx) = mpsc::channel::<Completion>();
 
         // Watchdog scaffolding: one deadline slot per worker. The
         // watchdog thread only spawns when some pending spec carries a
@@ -636,26 +675,31 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                                 }
                             },
                         };
-                        // Persist the completion before handing the result
-                        // over: a crash after this point costs nothing on
-                        // resume. The stored fingerprint is always the true
-                        // one (chaos may corrupt the in-memory memo entry
+                        // Fingerprint once, here in parallel: the memo
+                        // insert after the join reuses this value. Persist
+                        // the completion before handing the result over: a
+                        // crash after this point costs nothing on resume.
+                        // The stored fingerprint is always the true one
+                        // (chaos may corrupt the in-memory memo entry
                         // below, but never the durable record).
-                        if use_memo {
-                            if let Ok(report) = &outcome {
+                        let fp = match &outcome {
+                            Ok(report) if use_memo => {
+                                let fp = fingerprint(report);
                                 if checkpointable(report) {
-                                    checkpoint::append_completed(
-                                        keys[i],
-                                        report,
-                                        fingerprint(report),
-                                        retries,
-                                    );
+                                    checkpoint::append_completed(keys[i], report, fp, retries);
                                 }
+                                Some(fp)
                             }
-                        }
+                            _ => None,
+                        };
                         // The receiver outlives the scope; a send cannot fail.
-                        tx.send((i, outcome, retries))
-                            .expect("result channel closed");
+                        tx.send(Completion {
+                            index: i,
+                            outcome,
+                            fp,
+                            retries,
+                        })
+                        .expect("result channel closed");
                     }
                     active_workers.fetch_sub(1, Ordering::Release);
                 });
@@ -664,13 +708,23 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
         drop(tx);
 
         // All workers have exited; drain the (buffered) channel.
-        for (i, outcome, retries) in rx {
+        let mut fresh_fps: HashMap<u64, u64> = HashMap::new();
+        for Completion {
+            index: i,
+            outcome,
+            fp,
+            retries,
+        } in rx
+        {
             let k = keys[i];
             if retries > 0 {
                 retries_by_key.insert(k, retries);
             }
             match outcome {
                 Ok(report) => {
+                    if let Some(fp) = fp {
+                        fresh_fps.insert(k, fp);
+                    }
                     resolved.insert(k, Arc::new(report));
                 }
                 Err(why) => {
@@ -706,8 +760,8 @@ pub fn run_all(specs: &[RunSpec]) -> Vec<RunReport> {
                 if quarantined.contains(&k) {
                     continue;
                 }
-                if let Some(r) = resolved.get(&k) {
-                    let mut fp = fingerprint(r);
+                if let (Some(r), Some(&fp)) = (resolved.get(&k), fresh_fps.get(&k)) {
+                    let mut fp = fp;
                     if chaos.fires(FaultClass::MemoCorrupt) {
                         // Deliberate cache corruption: store a fingerprint
                         // that cannot match, so the next lookup must detect
@@ -899,6 +953,17 @@ mod tests {
             assert_eq!(r.events_processed, cold.events_processed);
             assert_eq!(r.gc_time, cold.gc_time);
         }
+    }
+
+    #[test]
+    fn streamed_fingerprint_hashes_the_full_debug_text() {
+        let mut spec = RunSpec::new(xalan().scaled(0.002), 2, 42);
+        spec.config.trace = scalesim_trace::TraceConfig::on();
+        let report = spec.run().unwrap();
+        assert!(!report.timeline.is_empty());
+        let mut h = DefaultHasher::new();
+        format!("{report:?}").hash(&mut h);
+        assert_eq!(fingerprint(&report), h.finish());
     }
 
     #[test]

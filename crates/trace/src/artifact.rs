@@ -13,6 +13,10 @@
 
 use std::io::{self, Write};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Distinguishes the temp files of concurrent writers in one process.
+static NEXT_TMP: AtomicU64 = AtomicU64::new(0);
 
 /// Fsyncs a directory so a rename performed inside it is durable across
 /// a host crash, not just a process crash. (On Linux, directories are
@@ -28,8 +32,9 @@ pub fn sync_dir(dir: &Path) -> io::Result<()> {
 /// Writes `contents` to `path` atomically and durably.
 ///
 /// The bytes land in a hidden sibling temp file first
-/// (`.<name>.tmp-<pid>`, same directory so the rename cannot cross a
-/// filesystem), are fsynced, then replace `path` in one `rename` step,
+/// (`.<name>.tmp-<pid>-<n>`, same directory so the rename cannot cross
+/// a filesystem; `n` is unique per call, so threads writing one path
+/// never share a temp file), are fsynced, then replace `path` in one `rename` step,
 /// and the parent directory is fsynced so the rename itself survives a
 /// host crash. Readers therefore see either the previous artifact or
 /// the complete new one, never a torn mix — even across power loss.
@@ -49,7 +54,11 @@ pub fn write_atomic(path: &Path, contents: impl AsRef<[u8]>) -> io::Result<()> {
     }
     let mut tmp_name = std::ffi::OsString::from(".");
     tmp_name.push(name);
-    tmp_name.push(format!(".tmp-{}", std::process::id()));
+    tmp_name.push(format!(
+        ".tmp-{}-{}",
+        std::process::id(),
+        NEXT_TMP.fetch_add(1, Ordering::Relaxed)
+    ));
     let tmp = path.with_file_name(tmp_name);
     let write_synced = |bytes: &[u8]| -> io::Result<()> {
         let mut f = std::fs::File::create(&tmp)?;
@@ -89,6 +98,32 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(entries, vec![std::ffi::OsString::from("out.json")]);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Sweep workers exporting to one `SCALESIM_TRACE` path race on it:
+    /// every write must succeed and the survivor must be one whole body.
+    #[test]
+    fn concurrent_writers_to_one_path_all_succeed() {
+        let dir = scratch("race");
+        let path = dir.join("out.json");
+        let bodies: Vec<String> = (b'a'..=b'd')
+            .map(|c| char::from(c).to_string().repeat(64 * 1024))
+            .collect();
+        let start = std::sync::Barrier::new(bodies.len());
+        std::thread::scope(|scope| {
+            for body in &bodies {
+                let (path, start) = (&path, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    for _ in 0..8 {
+                        write_atomic(path, body).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(bodies.contains(&std::fs::read_to_string(&path).unwrap()));
+        assert_eq!(std::fs::read_dir(&dir).unwrap().count(), 1);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -12,24 +12,20 @@
 //! sorted order — so equal timelines export to equal bytes.
 
 use std::collections::BTreeSet;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::event::{Phase, Process, TimelineEvent};
 use crate::timeline::Timeline;
-use scalesim_simkit::{SimDuration, SimTime};
 
-/// Renders simulated nanoseconds as the exact microsecond decimal Chrome
-/// expects in `ts`/`dur`, without any float formatting.
-fn micros(ns: u64) -> String {
-    format!("{}.{:03}", ns / 1000, ns % 1000)
-}
+/// Simulated nanoseconds rendered in place as the exact microsecond
+/// decimal Chrome expects in `ts`/`dur` (`13439563` → `13439.563`),
+/// without float formatting or an intermediate `String`.
+struct Micros(u64);
 
-fn ts_micros(at: SimTime) -> String {
-    micros(at.as_nanos())
-}
-
-fn dur_micros(dur: SimDuration) -> String {
-    micros(dur.as_nanos())
+impl fmt::Display for Micros {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}.{:03}", self.0 / 1000, self.0 % 1000)
+    }
 }
 
 fn track_name(process: Process, track: u32) -> String {
@@ -47,7 +43,7 @@ fn push_event(out: &mut String, ev: &TimelineEvent) {
     let pid = process.pid();
     let name = ev.kind.name();
     let cat = ev.kind.category();
-    let ts = ts_micros(ev.at);
+    let ts = Micros(ev.at.as_nanos());
     match ev.kind.phase() {
         Phase::Span => {
             let _ = write!(
@@ -55,7 +51,7 @@ fn push_event(out: &mut String, ev: &TimelineEvent) {
                 "{{\"ph\":\"X\",\"pid\":{pid},\"tid\":{tid},\"ts\":{ts},\"dur\":{dur},\
                  \"name\":\"{name}\",\"cat\":\"{cat}\",\"args\":{{\"arg\":{arg}}}}}",
                 tid = ev.track,
-                dur = dur_micros(ev.dur),
+                dur = Micros(ev.dur.as_nanos()),
                 arg = ev.arg,
             );
         }
@@ -142,6 +138,7 @@ pub fn to_chrome_json(timeline: &Timeline) -> String {
 mod tests {
     use super::*;
     use crate::event::EventKind;
+    use scalesim_simkit::SimTime;
 
     fn t(ns: u64) -> SimTime {
         SimTime::from_nanos(ns)
@@ -195,11 +192,47 @@ mod tests {
         assert!(json.starts_with("{\"traceEvents\":[]"));
     }
 
+    /// Byte-exact export of every event phase with sub-microsecond
+    /// timestamps and durations, recorded from the `String`-per-field
+    /// serializer this one replaced.
+    #[test]
+    fn export_matches_the_golden_bytes() {
+        let mut tl = Timeline::with_capacity(16);
+        tl.span(EventKind::ThreadRunning, 1, t(999), t(2_001), 0);
+        tl.span(EventKind::MonitorHold, 3, t(1_500), t(1_501), 1);
+        tl.span(EventKind::GcMinor, 0, t(12_345_678), t(13_000_000), 2);
+        tl.instant(EventKind::ChaosGcStall, 0, t(7), 5);
+        tl.sample(EventKind::HeapUsed, 0, t(1_000), 65_536);
+        let golden = concat!(
+            r#"{"traceEvents":["#,
+            r#"{"ph":"M","pid":1,"tid":0,"name":"process_name","args":{"name":"threads"}},"#,
+            r#"{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"thread1"}},"#,
+            r#"{"ph":"M","pid":2,"tid":0,"name":"process_name","args":{"name":"monitors"}},"#,
+            r#"{"ph":"M","pid":2,"tid":3,"name":"thread_name","args":{"name":"monitor3"}},"#,
+            r#"{"ph":"M","pid":3,"tid":0,"name":"process_name","args":{"name":"gc"}},"#,
+            r#"{"ph":"M","pid":3,"tid":0,"name":"thread_name","args":{"name":"gc-region0"}},"#,
+            r#"{"ph":"M","pid":4,"tid":0,"name":"process_name","args":{"name":"runtime"}},"#,
+            r#"{"ph":"M","pid":4,"tid":0,"name":"thread_name","args":{"name":"chaos"}},"#,
+            r#"{"ph":"X","pid":1,"tid":1,"ts":0.999,"dur":1.002,"name":"running","#,
+            r#""cat":"thread-state","args":{"arg":0}},"#,
+            r#"{"ph":"X","pid":2,"tid":3,"ts":1.500,"dur":0.001,"name":"hold","#,
+            r#""cat":"monitor","args":{"arg":1}},"#,
+            r#"{"ph":"X","pid":3,"tid":0,"ts":12345.678,"dur":654.322,"name":"minor-gc","#,
+            r#""cat":"gc","args":{"arg":2}},"#,
+            r#"{"ph":"I","s":"t","pid":4,"tid":0,"ts":0.007,"name":"chaos:gc-stall","#,
+            r#""cat":"chaos","args":{"arg":5}},"#,
+            r#"{"ph":"C","pid":3,"tid":0,"ts":1.000,"name":"heap-used","#,
+            r#""cat":"heap","args":{"value":65536}}"#,
+            r#"],"displayTimeUnit":"ms","otherData":{"droppedEvents":"0"}}"#,
+        );
+        assert_eq!(to_chrome_json(&tl), golden);
+    }
+
     #[test]
     fn micros_renders_sub_microsecond_exactly() {
-        assert_eq!(micros(0), "0.000");
-        assert_eq!(micros(1), "0.001");
-        assert_eq!(micros(999), "0.999");
-        assert_eq!(micros(13_439_563), "13439.563");
+        assert_eq!(Micros(0).to_string(), "0.000");
+        assert_eq!(Micros(1).to_string(), "0.001");
+        assert_eq!(Micros(999).to_string(), "0.999");
+        assert_eq!(Micros(13_439_563).to_string(), "13439.563");
     }
 }

@@ -147,7 +147,7 @@ impl fmt::Display for JsonValue {
                     if i > 0 {
                         f.write_str(",")?;
                     }
-                    write!(f, "{item}")?;
+                    fmt::Display::fmt(item, f)?;
                 }
                 f.write_str("]")
             }
@@ -158,7 +158,8 @@ impl fmt::Display for JsonValue {
                         f.write_str(",")?;
                     }
                     write_escaped(f, key)?;
-                    write!(f, ":{value}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(value, f)?;
                 }
                 f.write_str("}")
             }
@@ -166,19 +167,28 @@ impl fmt::Display for JsonValue {
     }
 }
 
+/// Writes `s` as a quoted JSON string. Runs of bytes that need no
+/// escape go out in one `write_str`; every escaped byte is ASCII, so
+/// the slice boundaries always fall on UTF-8 character boundaries.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\t' => f.write_str("\\t")?,
-            '\r' => f.write_str("\\r")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => f.write_fmt(format_args!("{c}"))?,
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        if !matches!(b, b'"' | b'\\' | 0x00..=0x1f) {
+            continue;
         }
+        f.write_str(&s[run..i])?;
+        match b {
+            b'"' => f.write_str("\\\"")?,
+            b'\\' => f.write_str("\\\\")?,
+            b'\n' => f.write_str("\\n")?,
+            b'\t' => f.write_str("\\t")?,
+            b'\r' => f.write_str("\\r")?,
+            _ => write!(f, "\\u{b:04x}")?,
+        }
+        run = i + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -483,6 +493,52 @@ mod tests {
         assert!(text.contains("\\u0001"));
         assert!(text.contains("\\r"));
         assert_eq!(JsonValue::parse(&text).unwrap(), doc);
+    }
+
+    /// The string writer, byte for byte, on every escape class and on
+    /// multi-byte UTF-8 next to escapes (where a run slice could split a
+    /// character if escaping were not byte-exact).
+    #[test]
+    fn escaping_matches_the_golden_bytes() {
+        let long_a = "a".repeat(300);
+        let long_b = "b".repeat(300);
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let cases: Vec<(String, String)> = vec![
+            (String::new(), r#""""#.to_owned()),
+            ("\"".to_owned(), r#""\"""#.to_owned()),
+            ("\\".to_owned(), r#""\\""#.to_owned()),
+            (
+                controls,
+                concat!(
+                    r#""\u0000\u0001\u0002\u0003\u0004\u0005\u0006\u0007"#,
+                    r#"\u0008\t\n\u000b\u000c\r\u000e\u000f"#,
+                    r#"\u0010\u0011\u0012\u0013\u0014\u0015\u0016\u0017"#,
+                    r#"\u0018\u0019\u001a\u001b\u001c\u001d\u001e\u001f""#,
+                )
+                .to_owned(),
+            ),
+            ("\u{7f}".to_owned(), "\"\u{7f}\"".to_owned()),
+            ("é".to_owned(), "\"é\"".to_owned()),
+            ("—€".to_owned(), "\"—€\"".to_owned()),
+            ("𝄞".to_owned(), "\"𝄞\"".to_owned()),
+            (
+                "é\"€\n𝄞\\ü\u{1}".to_owned(),
+                r#""é\"€\n𝄞\\ü\u0001""#.to_owned(),
+            ),
+            (
+                format!("{long_a}\"{long_b}"),
+                format!("\"{long_a}\\\"{long_b}\""),
+            ),
+            (long_a.clone(), format!("\"{long_a}\"")),
+        ];
+        for (raw, expected) in cases {
+            let written = JsonValue::Str(raw.clone()).to_string();
+            assert_eq!(written, expected, "{raw:?}");
+            assert_eq!(JsonValue::parse(&written).unwrap().as_str(), Some(&*raw));
+        }
+        // Keys go through the same writer.
+        let obj = JsonValue::obj([("k\"\u{1f}é", JsonValue::Null)]);
+        assert_eq!(obj.to_string(), r#"{"k\"\u001fé":null}"#);
     }
 
     #[test]

@@ -49,6 +49,31 @@ done
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/a/manifest.jsonl > target/ci-resume/a.norm
 sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume/b/manifest.jsonl > target/ci-resume/b.norm
 diff target/ci-resume/a.norm target/ci-resume/b.norm
+echo '== traced resume smoke (records carrying timelines must resume to identical tables)'
+# SCALESIM_TRACE traces every sweep run, so each checkpoint record holds
+# a full timeline; --trace adds the standalone lusearch export.
+rm -rf target/ci-resume-trace
+SCALESIM_TRACE=target/ci-resume-trace/sweep_trace.json \
+    cargo run --release -q -p scalesim-experiments -- \
+    fig1d --scale 0.02 --threads 4,8 --trace target/ci-resume-trace/a/trace.json \
+    --out target/ci-resume-trace/a --checkpoint target/ci-resume-trace/ckpt > /dev/null
+SCALESIM_TRACE=target/ci-resume-trace/sweep_trace.json \
+    cargo run --release -q -p scalesim-experiments -- \
+    fig1d --scale 0.02 --threads 4,8 --trace target/ci-resume-trace/b/trace.json \
+    --out target/ci-resume-trace/b --checkpoint target/ci-resume-trace/ckpt --resume \
+    > target/ci-resume-trace/resume.log
+# Both runs came back from the store: no record was skipped or re-simulated.
+grep -q 'resumed 2 run(s) .* 0 record(s) skipped' target/ci-resume-trace/resume.log
+grep -q '"trace_events":[1-9]' target/ci-resume-trace/a/manifest.jsonl
+for csv in target/ci-resume-trace/a/*.csv; do
+    diff "$csv" "target/ci-resume-trace/b/$(basename "$csv")"
+done
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume-trace/a/manifest.jsonl \
+    > target/ci-resume-trace/a.norm
+sed 's/"host_ns":[0-9]*/"host_ns":0/' target/ci-resume-trace/b/manifest.jsonl \
+    > target/ci-resume-trace/b.norm
+diff target/ci-resume-trace/a.norm target/ci-resume-trace/b.norm
+cmp target/ci-resume-trace/a/trace.json target/ci-resume-trace/b/trace.json
 echo '== audit smoke (clean pinned runs must audit clean, exit 0)'
 rm -rf target/ci-audit
 cargo run --release -q -p scalesim-experiments -- audit --out target/ci-audit > /dev/null
